@@ -33,7 +33,8 @@ def run_distributed(
     """Run ``spec`` over Spark partitions; returns int (count(*)) or a
     Spark DataFrame (projections)."""
     first = compile_logical(spec)[0]
-    assert isinstance(first, ScanStep)
+    if not isinstance(first, ScanStep):
+        raise TypeError(f"plan must start with a scan, not {first!r}")
     n = store.n_vertices[first.label]
     sc = spark.sparkContext
     parts = scan_ranges(n, n_parts or sc.defaultParallelism)

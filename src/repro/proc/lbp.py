@@ -18,9 +18,11 @@ lives in :mod:`repro.proc.distributed`.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 
 from repro.proc.operators import (
+    _MIRROR,
     CollectSink,
     CountSink,
     Operator,
@@ -33,6 +35,7 @@ from repro.proc.operators import (
     PhysListExtend,
     PhysScan,
     PhysVertexPropRead,
+    concat_ranges,
 )
 from repro.proc.plan import (
     ExtendStep,
@@ -201,17 +204,16 @@ def _fuse_count_tail(ops: list[Operator]):
     if not preds or i < 0 or not isinstance(ops[i], PhysListExtend):
         return None
     ext = ops[i]
-    _mirror = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
     norm = []
     for p in preds:
         if (
             p.var != ext.edge_var
             and p.rhs_var == ext.edge_var
-            and p.op in _mirror
+            and p.op in _MIRROR
         ):
             # a.x OP e.y  →  e.y mirror(OP) a.x, so the fused edge is lhs.
             p = Predicate(
-                p.rhs_var, p.rhs_prop, _mirror[p.op],
+                p.rhs_var, p.rhs_prop, _MIRROR[p.op],
                 rhs_var=p.var, rhs_prop=p.prop,
             )
         norm.append(p)
@@ -240,13 +242,19 @@ def _try_vectorized_count(
 
     With no predicates and count(*) output, the factorized count never
     needs tuples at all: it is the repeated product-of-list-sizes of
-    §6.2, computed level by level as a weighted degree propagation
+    §6.2, computed level by level as a weighted propagation
     (``w_next[nbr] += w[v]`` over each adjacency list). This is why the
     paper's GF-CL COUNT(*) runtimes barely grow with the hop count
-    (Table 5). Returns None when the plan shape doesn't apply.
-    """
-    import numpy as np
+    (Table 5).
 
+    The frontier is sparse: ``(ids, w)`` holds only the vertices reached
+    so far and their path counts, so a hop reads just the adjacency
+    lists of those vertices and the cost is proportional to the edges
+    reachable from the start range, not to the graph. Weights are exact
+    int64 sums. The last hop scatters nothing: it is the dot product of
+    ``w`` with the frontier's degrees. Returns None when the plan shape
+    doesn't apply.
+    """
     if spec.returns != "count" or spec.predicates:
         return None
     steps = compile_logical(spec)
@@ -260,52 +268,37 @@ def _try_vectorized_count(
             prev_out = s.out_var
         else:
             return None
-    scan = steps[0]
-    n0 = store.n_vertices[scan.label]
+    n0 = store.n_vertices[steps[0].label]
     lo, hi = scan_range if scan_range else (0, n0)
-    w = np.zeros(n0, dtype=np.float64)
-    w[lo:hi] = 1.0
-    for s in steps[1:]:
+    ids = np.arange(lo, hi, dtype=np.int64)
+    w = np.ones(len(ids), dtype=np.int64)
+    for hop, s in enumerate(steps[1:], start=2):
         es = store.edge(s.edge.label)
-        n_out = store.n_vertices[spec.vertices[s.out_var]]
+        last = hop == len(steps)
         if es.storage_kind(s.direction) == "csr":
             csr = es.csr(s.direction)
-            if csr.null_compress:
-                # Offsets exist only for non-empty lists; their weights
-                # are w restricted to the set bits, in position order.
-                present = csr.index.unpack_all()
-                lens = np.diff(csr.offsets)
-                per_edge = np.repeat(w[present], lens)
-            else:
-                per_edge = np.repeat(w, np.diff(csr.offsets))
-            w = np.bincount(
-                np.asarray(csr.nbr, dtype=np.int64),
-                weights=per_edge,
-                minlength=n_out,
-            )
+            starts, ends = csr.ranges_of(ids)
+            if last:
+                return int(w @ (ends - starts))
+            idx, contig, lens = concat_ranges(starts, ends)
+            nbrs = csr.nbr[slice(*contig)] if idx is None else csr.nbr[idx]
+            w = np.repeat(w, lens)
         else:
-            # Vertex column: the whole-column scan reads values directly
-            # (compacted values align with the set bits, in order).
-            col = es.nbr_vcol(s.direction).col
-            if col._all_set:
-                targets, weights = col.values, w
-            elif col.mode == "uncompressed":
-                # NULL cells hold 0; zero their weights instead of
-                # gathering — one pass, no indirection (the vertex-column
-                # advantage over CSR offsets, §8.4).
-                present = col.index.unpack_all()
-                targets, weights = col.values, w * present
-            else:
-                present = col.index.unpack_all()
-                targets, weights = col.values, w[present]
-            w = np.bincount(
-                np.asarray(targets, dtype=np.int64),
-                weights=weights,
-                minlength=n_out,
-            )
-        if len(w) < n_out:
-            w = np.pad(w, (0, n_out - len(w)))
-    return int(round(w.sum()))
+            # A NULL reads as neighbour 0; zeroing its weight is one
+            # streaming pass, where dropping it would be a masked copy.
+            nbrs, nulls = es.nbr_vcol(s.direction).get_many(ids)
+            w = w * ~nulls
+            if last:
+                return int(w.sum())
+        if not w.any():
+            return 0
+        acc = np.zeros(
+            store.n_vertices[spec.vertices[s.out_var]], dtype=np.int64
+        )
+        np.add.at(acc, nbrs, w)
+        ids = np.flatnonzero(acc > 0)
+        w = acc[ids]
+    return int(w.sum())
 
 
 def run_lbp(

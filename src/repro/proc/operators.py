@@ -152,10 +152,14 @@ def concat_ranges(
     total = int(lens.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), None, lens
+    # Contiguous iff each non-empty range starts at the furthest end of
+    # the non-empty ranges before it (empty ones may sit anywhere, e.g.
+    # at (0, 0)). Unmasked passes only: no compaction of the ranges.
     nz = lens > 0
-    s, e = starts[nz], ends[nz]
-    if (s[1:] == e[:-1]).all():
-        return None, (int(s[0]), int(e[-1])), lens
+    reach = np.maximum.accumulate(ends * nz)
+    first = int(nz.argmax())
+    if (~nz[first + 1:] | (starts[first + 1:] == reach[first:-1])).all():
+        return None, (int(starts[first]), int(reach[-1])), lens
     out_start = np.concatenate(([0], np.cumsum(lens)[:-1]))
     base = np.repeat(starts - out_start, lens)
     return base + np.arange(total, dtype=np.int64), None, lens
@@ -281,9 +285,10 @@ class PhysExtendFilterCount(Operator):
                     return
                 mask &= eval_block_vs_literal(p.op, lblk, rv)
             else:
-                assert rg is g and not per_src_rhs_flat, (
-                    "fused rhs must live in the extend's input group"
-                )
+                if rg is not g or per_src_rhs_flat:
+                    raise NotImplementedError(
+                        "fused rhs must live in the extend's input group"
+                    )
                 rep = Block(
                     np.repeat(rblk.data, lens),
                     None if rblk.nulls is None else np.repeat(rblk.nulls, lens),
@@ -582,7 +587,10 @@ class PhysFilter(Operator):
                 self.next.consume(chunk)
             return
         if not l_flat and not r_flat:
-            assert lg is rg, "list/list filter requires one group"
+            if lg is not rg:
+                raise NotImplementedError(
+                    "list/list filter requires one group"
+                )
             mask = eval_block_vs_block(p.op, lblk, rval)
             self._emit_masked(chunk, lg, mask)
             return

@@ -91,14 +91,15 @@ class CSR:
         """Vectorized (starts, ends); empty lists give start == end."""
         vs = np.asarray(vs, dtype=np.int64)
         if self.null_compress:
+            # rank(v) is a valid offsets index even when v's list is
+            # empty, so rank every v and zero the empty ranges by
+            # multiplying: no masked gathers or scatters.
             present = self.index.is_set(vs)
-            starts = np.zeros(len(vs), dtype=np.int64)
-            ends = np.zeros(len(vs), dtype=np.int64)
-            if present.any():
-                r = self.index.rank(vs[present])
-                starts[present] = self.offsets[r]
-                ends[present] = self.offsets[r + 1]
-            return starts, ends
+            r = self.index.rank(vs)
+            return (
+                self.offsets[r] * present,
+                self.offsets[r + present] * present,
+            )
         return self.offsets[vs], self.offsets[vs + 1]
 
     def degrees_of(self, vs: np.ndarray) -> np.ndarray:

@@ -99,19 +99,19 @@ class JacobsonIndex:
 
     def is_set(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)
-        w = self.words[idx // self.c].astype(np.int64)
-        return ((w >> (idx % self.c)) & 1).astype(bool)
+        # c is a power of two, so the bit is a mask, not a modulo; the
+        # shift runs in the narrow word dtype, which numpy vectorizes.
+        bit = (idx & (self.c - 1)).astype(self.words.dtype)
+        return ((self.words[idx // self.c] >> bit) & 1).astype(bool)
 
     def rank(self, idx: np.ndarray) -> np.ndarray:
         """Number of set bits strictly before each position (vectorized)."""
         idx = np.asarray(idx, dtype=np.int64)
         q = idx // self.c
-        base = self.block_base[q // self._words_per_block]
-        return (
-            base
-            + self.prefix_sums[q].astype(np.int64)
-            + popcount_map(self.c)[self.words[q], idx % self.c].astype(np.int64)
-        )
+        r = self.block_base[q // self._words_per_block]
+        r += self.prefix_sums[q]
+        r += popcount_map(self.c)[self.words[q], idx & (self.c - 1)]
+        return r
 
     def unpack_all(self) -> np.ndarray:
         """The full bit vector as a bool array (one vectorized unpack —

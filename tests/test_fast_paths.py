@@ -1,14 +1,18 @@
 """The two count-oriented fast paths: vectorized predicate-free path
 counts and block-at-a-time batched extends."""
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.graphs.data import GraphData
+from repro.graphs.schema import GraphSchema
 from repro.proc.lbp import _try_vectorized_count, compile_lbp, run_lbp
 from repro.proc.operators import PhysBatchExtend
 from repro.proc.plan import Predicate as Pr
 from repro.proc.plan import QueryEdge as E
-from repro.proc.plan import QuerySpec
+from repro.proc.plan import QuerySpec, compile_logical
 from repro.proc.volcano import ColumnarAdapter, run_volcano
+from repro.storage.graph_store import GraphStore, StorageConfig
 
 
 def _count_spec(hops, label="knows", vlabel="Person"):
@@ -71,6 +75,88 @@ class TestVectorizedCount:
             for lo in range(0, n, 13)
         ]
         assert sum(parts) == _try_vectorized_count(ldbc_store, spec, None)
+
+
+def _complete_digraph(n):
+    """n vertices, every ordered pair (self-loops included) an n-n edge."""
+    sch = GraphSchema()
+    sch.add_vertex("V")
+    sch.add_edge("e", "V", "V", "n-n")
+    src, dst = np.divmod(np.arange(n * n), n)
+    data = GraphData(
+        sch,
+        {"V": pd.DataFrame({"_id": range(n)})},
+        {"e": pd.DataFrame({"src": src, "dst": dst})},
+    )
+    data.validate()
+    return data
+
+
+def test_count_exact_past_2_pow_53():
+    store = GraphStore.build(_complete_digraph(63), StorageConfig.gf_cl())
+    got = run_lbp(store, _count_spec(8, label="e", vlabel="V"))
+    assert type(got) is int
+    assert got == 63**9 == 15633814156853823 > 2**53
+
+
+_CONFIGS = {
+    "gf_cl": StorageConfig.gf_cl(),
+    "no_null_compress": StorageConfig(),
+    "single_card_csr": StorageConfig(single_card_as_vcol=False),
+}
+
+_PATHS = {
+    "knows_3hop": _count_spec(3),
+    # Backward over a CSR, then forward over hasCreator (a vertex column
+    # unless single-card edges are forced into CSRs).
+    "hasCreator_bwd": QuerySpec(
+        "hc", {"p": "Person", "c": "Comment", "q": "Person"},
+        [E("c", "p", "hasCreator"), E("c", "q", "hasCreator")],
+        [], "count", ["p", "c", "q"],
+    ),
+    # Root comments have no replyOf: NULLs in the middle hops.
+    "replyOf_chain": QuerySpec(
+        "r", {f"c{i}": "Comment" for i in range(4)},
+        [E(f"c{i}", f"c{i + 1}", "replyOf") for i in range(3)],
+        [], "count",
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=list(_CONFIGS))
+def any_store(request, ldbc):
+    return GraphStore.build(ldbc, _CONFIGS[request.param])
+
+
+class TestSparseFrontier:
+    @pytest.mark.parametrize("path", list(_PATHS))
+    def test_partition_sums_to_whole(self, any_store, path):
+        spec = _PATHS[path]
+        n = any_store.n_vertices[compile_logical(spec)[0].label]
+        cuts = np.unique([0, 1, 2, 7, 40, n // 3, n // 2 + 5, n - 1, n])
+        parts = [
+            _try_vectorized_count(any_store, spec, (int(lo), int(hi)))
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
+        whole = _try_vectorized_count(any_store, spec, None)
+        assert all(type(c) is int for c in parts)
+        assert whole > 0 and sum(parts) == whole
+        adapter = ColumnarAdapter(any_store)
+        for rng in [(0, 7), (n // 3, n // 3 + 25), (n - 1, n)]:
+            assert _try_vectorized_count(any_store, spec, rng) == run_volcano(
+                adapter, spec, scan_range=rng
+            )
+
+    def test_frontier_dies_out(self, any_store, ldbc):
+        spec = _PATHS["replyOf_chain"]
+        reply = ldbc.etables["replyOf"]
+        parent = dict(zip(reply["src"], reply["dst"]))
+        root = next(c for c in range(len(ldbc.vtables["Comment"]))
+                    if c not in parent)
+        # Dies at the first hop, and (from a reply to a root) at the second.
+        child_of_root = next(c for c, p in parent.items() if p not in parent)
+        for c in (root, int(child_of_root)):
+            assert _try_vectorized_count(any_store, spec, (c, c + 1)) == 0
 
 
 class TestBatchExtend:

@@ -44,6 +44,15 @@ class TestConcatRanges:
         idx, contig, lens = concat_ranges(starts, ends)
         assert contig == (0, 9)
 
+    def test_empty_lists_do_not_hide_gaps(self):
+        # Null-compressed empties read (0, 0) and do not break a run...
+        _, contig, _ = concat_ranges(np.array([0, 0, 3]), np.array([3, 0, 5]))
+        assert contig == (0, 5)
+        # ...and an empty list sitting at 5 does not bridge the gap [3, 5).
+        idx, contig, _ = concat_ranges(np.array([0, 5, 5]), np.array([3, 5, 8]))
+        assert contig is None
+        assert list(idx) == [0, 1, 2, 5, 6, 7]
+
     def test_non_contiguous_index(self):
         starts = np.array([5, 0])
         ends = np.array([7, 2])
@@ -224,6 +233,17 @@ class TestFilterCombinations:
         assert self._run(
             build, Pr("a", "x", "=", None, rhs_var="a", rhs_prop="y")
         ) == 1
+
+    def test_list_list_different_groups_raises(self):
+        def build():
+            c = IntermediateChunk()
+            c.push_group(ListGroup({"a.x": Block(np.array([1, 5]))}, 2))
+            c.push_group(ListGroup({"b.y": Block(np.array([2, 5, 3]))}, 3))
+            return c
+        with pytest.raises(NotImplementedError, match="one group"):
+            self._run(
+                build, Pr("a", "x", "<", None, rhs_var="b", rhs_prop="y")
+            )
 
 
 def test_scan_block_boundaries(ldbc_store):
