@@ -9,11 +9,11 @@ SF = 0.3
 
 
 @pytest.mark.parametrize("name,maker", [("ldbc", ldbc_lite), ("imdb", imdb_lite)])
-def test_table2_memory(benchmark, spark, name, maker):
+def test_table2_memory(benchmark, name, maker):
     data = maker(sf=SF)
 
     def run():
-        return table2(data, spark=spark)
+        return table2(data)
 
     df = benchmark.pedantic(run, rounds=1, iterations=1)
     record(f"table2_{name}", format_table2(df, f"{name}_lite sf={SF}"))

@@ -6,7 +6,7 @@ from repro.bench.record import record
 from repro.graphs.datasets import flickr_like, ldbc_lite, wiki_like
 
 
-def test_table3_prop_pages(benchmark, spark):
+def test_table3_prop_pages(benchmark):
     datasets = {
         "LDBC": ldbc_lite(sf=2.0),
         "WIKI": wiki_like(sf=3.0),

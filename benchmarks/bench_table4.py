@@ -7,7 +7,7 @@ from repro.bench.single_card import format_table4, table4
 from repro.graphs.datasets import ldbc_lite
 
 
-def test_table4_single_card(benchmark, spark):
+def test_table4_single_card(benchmark):
     data = ldbc_lite(sf=1.0)
 
     def run():

@@ -6,7 +6,7 @@ from repro.bench.record import record
 from repro.graphs.datasets import flickr_like, ldbc_lite, wiki_like
 
 
-def test_table5_lbp_vs_volcano(benchmark, spark):
+def test_table5_lbp_vs_volcano(benchmark):
     datasets = {
         "LDBC": ldbc_lite(sf=0.08),
         "WIKI": wiki_like(sf=0.02),

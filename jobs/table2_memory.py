@@ -11,11 +11,9 @@ from repro.graphs.datasets import imdb_lite, ldbc_lite
 
 
 def run(spark: SparkSession, sf: float = 0.1) -> None:
-    print(format_table2(table2(ldbc_lite(sf=sf), spark=spark),
-                        f"ldbc_lite sf={sf}"))
+    print(format_table2(table2(ldbc_lite(sf=sf)), f"ldbc_lite sf={sf}"))
     print()
-    print(format_table2(table2(imdb_lite(sf=sf), spark=spark),
-                        f"imdb_lite sf={sf}"))
+    print(format_table2(table2(imdb_lite(sf=sf)), f"imdb_lite sf={sf}"))
 
 
 if __name__ == "__main__":

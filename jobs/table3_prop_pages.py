@@ -17,7 +17,7 @@ def run(spark: SparkSession, scale: float = 1.0) -> None:
         "WIKI": wiki_like(sf=4.0 * scale),
         "FLICKR": flickr_like(sf=4.0 * scale),
     }
-    print(format_table3(table3(datasets, spark=spark, repeats=3)))
+    print(format_table3(table3(datasets, repeats=3)))
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from repro.graphs.datasets import ldbc_lite
 
 
 def run(spark: SparkSession, sf: float = 1.0) -> None:
-    print(format_table4(table4(ldbc_lite(sf=sf), spark=spark, repeats=3)))
+    print(format_table4(table4(ldbc_lite(sf=sf), repeats=3)))
 
 
 if __name__ == "__main__":

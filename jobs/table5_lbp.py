@@ -16,7 +16,7 @@ def run(spark: SparkSession, scale: float = 1.0, hops=(1, 2, 3)) -> None:
         "WIKI": wiki_like(sf=0.02 * scale),
         "FLICKR": flickr_like(sf=0.05 * scale),
     }
-    print(format_table5(table5(datasets, spark=spark, hops=hops, repeats=2)))
+    print(format_table5(table5(datasets, hops=hops, repeats=2)))
 
 
 if __name__ == "__main__":

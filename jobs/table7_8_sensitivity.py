@@ -29,7 +29,7 @@ def run(spark: SparkSession, sf: float = 0.5) -> None:
     print(t8.round(3).to_string(index=False))
     print()
     print("Fig 12 (as a table) — k sweep on WIKI 1-hop forward")
-    print(k_sweep(wiki_like(sf=8 * sf), spark=spark).to_string(index=False))
+    print(k_sweep(wiki_like(sf=8 * sf)).to_string(index=False))
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ class Table6Harness:
     def __init__(self, data: GraphData, *, spark=None) -> None:
         self.data = data
         self.spark = spark
-        self.store = GraphStore.build(data, StorageConfig.gf_cl(), spark=spark)
+        self.store = GraphStore.build(data, StorageConfig.gf_cl())
         self.cl_adapter = None
         self.rv = RowStore(data)
         self.neo = LinkedStore(data)

@@ -59,14 +59,13 @@ def khop_count_spec(elabel, vlabel, hops) -> QuerySpec:
 def table5(
     datasets: dict[str, GraphData],
     *,
-    spark=None,
     hops=(1, 2, 3),
     repeats: int = 1,
 ) -> pd.DataFrame:
     rows = []
     for ds_name, data in datasets.items():
         elabel, vlabel, prop = _dataset_params(data)
-        store = GraphStore.build(data, StorageConfig.gf_cl(), spark=spark)
+        store = GraphStore.build(data, StorageConfig.gf_cl())
         adapter = ColumnarAdapter(store)
         for workload in ("FILTER", "COUNT(*)"):
             for h in hops:

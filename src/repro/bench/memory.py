@@ -16,11 +16,11 @@ from repro.storage.rv_model import rv_memory_report
 COMPONENTS = ["vertex_props", "edge_props", "fwd_adj", "bwd_adj", "total"]
 
 
-def table2(data: GraphData, *, spark=None) -> pd.DataFrame:
+def table2(data: GraphData) -> pd.DataFrame:
     """Bytes per component per configuration (columns in paper order)."""
     cols = {"GF-RV": rv_memory_report(data)}
     for name, cfg in StorageConfig.ablation_steps():
-        store = GraphStore.build(data, cfg, spark=spark)
+        store = GraphStore.build(data, cfg)
         cols[name] = store.memory_report()
     df = pd.DataFrame(cols).loc[COMPONENTS]
     df.index.name = "component"

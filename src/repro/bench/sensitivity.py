@@ -119,8 +119,7 @@ def table8(*, sf: float = 0.05, rho: int = 50, seed: int = 42) -> pd.DataFrame:
 
 
 def k_sweep(
-    data: GraphData, *, ks=(2, 8, 32, 128, 512, 2048, 8192), repeats: int = 1,
-    spark=None,
+    data: GraphData, *, ks=(2, 8, 32, 128, 512, 2048, 8192), repeats: int = 1
 ) -> pd.DataFrame:
     """Fig 12 as a table: Table 3's 1-hop forward query across page sizes
     k, with '*' = pure edge columns (k = ∞)."""
@@ -137,7 +136,7 @@ def k_sweep(
             if k == "*"
             else StorageConfig(k=int(k))
         )
-        store = GraphStore.build(data, cfg, spark=spark)
+        store = GraphStore.build(data, cfg)
         best = None
         for _ in range(repeats):
             t0 = time.perf_counter()

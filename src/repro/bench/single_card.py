@@ -37,10 +37,10 @@ def reply_khop(hops: int) -> QuerySpec:
     )
 
 
-def table4(data: GraphData, *, spark=None, repeats: int = 1) -> pd.DataFrame:
+def table4(data: GraphData, *, repeats: int = 1) -> pd.DataFrame:
     rows = []
     for cfg_name, cfg in CONFIGS.items():
-        store = GraphStore.build(data, cfg, spark=spark)
+        store = GraphStore.build(data, cfg)
         es = store.edge("replyOf")
         mem = es.adj_nbytes("fwd") + es.adj_nbytes("bwd")
         row = {"config": cfg_name, "mem_bytes": mem}

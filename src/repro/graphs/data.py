@@ -28,24 +28,29 @@ class GraphData:
 
     def validate(self) -> None:
         """Cheap structural checks: offsets contiguous, endpoints in range,
-        cardinality constraints actually hold in the data."""
+        cardinality constraints actually hold in the data. Raises
+        :class:`ValueError` on the first violation."""
         for name, vl in self.schema.vertices.items():
             t = self.vtables[name]
             n = len(t)
-            assert (t["_id"].to_numpy() == np.arange(n)).all(), f"{name}: _id gap"
+            if not (t["_id"].to_numpy() == np.arange(n)).all():
+                raise ValueError(f"{name}: _id gap")
             for p in vl.props:
-                assert p.name in t.columns, f"{name}: missing prop {p.name}"
+                if p.name not in t.columns:
+                    raise ValueError(f"{name}: missing prop {p.name}")
         for name, el in self.schema.edges.items():
             t = self.etables[name]
             ns = len(self.vtables[el.src])
             nd = len(self.vtables[el.dst])
             s, d = t["src"].to_numpy(), t["dst"].to_numpy()
-            assert len(t) == 0 or (s.min() >= 0 and s.max() < ns), f"{name}: src oob"
-            assert len(t) == 0 or (d.min() >= 0 and d.max() < nd), f"{name}: dst oob"
-            if el.single_fwd:
-                assert t["src"].is_unique, f"{name}: n-1/1-1 violated (dup src)"
-            if el.single_bwd:
-                assert t["dst"].is_unique, f"{name}: 1-n/1-1 violated (dup dst)"
+            if len(t) and not (s.min() >= 0 and s.max() < ns):
+                raise ValueError(f"{name}: src oob")
+            if len(t) and not (d.min() >= 0 and d.max() < nd):
+                raise ValueError(f"{name}: dst oob")
+            if el.single_fwd and not t["src"].is_unique:
+                raise ValueError(f"{name}: n-1/1-1 violated (dup src)")
+            if el.single_bwd and not t["dst"].is_unique:
+                raise ValueError(f"{name}: 1-n/1-1 violated (dup dst)")
 
     def n_vertices(self, label: str) -> int:
         return len(self.vtables[label])

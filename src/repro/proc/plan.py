@@ -110,7 +110,8 @@ def compile_logical(spec: QuerySpec) -> list:
         connectable = [
             e for e in remaining if (e.src in bound) ^ (e.dst in bound)
         ]
-        assert connectable, "pattern is disconnected or cyclic"
+        if not connectable:
+            raise ValueError(f"{spec.name}: pattern is disconnected or cyclic")
         pick = next(
             (
                 e
@@ -128,7 +129,8 @@ def compile_logical(spec: QuerySpec) -> list:
         if pick.var:
             bound.add(pick.var)
         apply_ready_filters()
-    assert len(applied) == len(spec.predicates), "disconnected predicate"
+    if len(applied) != len(spec.predicates):
+        raise ValueError(f"{spec.name}: predicate on a variable outside the pattern")
     return steps
 
 
@@ -172,7 +174,8 @@ def _sql_literal(v: Any) -> str:
 def _like_pattern(s: str) -> str:
     # DuckDB and Spark SQL disagree on default LIKE escape characters, so
     # we simply require literals free of LIKE metacharacters (ours all are).
-    assert "%" not in s and "_" not in s, f"LIKE metachar in literal {s!r}"
+    if "%" in s or "_" in s:
+        raise ValueError(f"LIKE metacharacter in literal {s!r}")
     return s
 
 

@@ -104,11 +104,12 @@ def run_volcano(adapter, spec: QuerySpec, *, scan_range=None):
     """Pull-based execution: a chain of generators, one env dict mutated
     tuple-at-a-time. Returns int (count) or a DataFrame (projections)."""
     steps = compile_logical(spec)
+    if not isinstance(steps[0], ScanStep):
+        raise TypeError(f"{spec.name}: plan must start with a scan")
     env: dict = {}
 
     def source():
         s = steps[0]
-        assert isinstance(s, ScanStep)
         it = adapter.scan(s.label)
         if scan_range is not None:
             it = range(scan_range[0], scan_range[1])

@@ -18,18 +18,16 @@ old 8-byte edge-ID scheme), +NEW-IDS (factor ID components per Fig 6),
 +0-SUPR (minimal byte widths in adjacency arrays), +NULL (Jacobson
 compression of empty lists and NULL properties) = GF-CL.
 
-When a SparkSession is passed to :meth:`GraphStore.build`, the per-label
-edge tables are sorted by the owning vertex as Spark DataFrame jobs
-(the distributed part of the build); numpy then assembles the arrays
-from the Arrow-collected columns.
+The build is pure numpy: :class:`CSR` and :class:`PropertyPages` group
+the edge rows by owning vertex themselves, so the input tables need no
+particular order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.graphs.data import GraphData
 from repro.graphs.schema import EdgeLabel
@@ -49,8 +47,6 @@ class StorageConfig:
     k: int = 128  # property-page size (lists per page)
     edge_prop_storage: str = "pages"  # 'pages' | 'edge_columns' (Table 3)
     single_card_as_vcol: bool = True  # False → CSR even for n-1/1-n (Table 4)
-    null_c: int = 16
-    null_m: int = 16
 
     @classmethod
     def gf_cl(cls) -> "StorageConfig":
@@ -127,10 +123,6 @@ class EdgeStore:
 
 
 class GraphStore:
-    #: Edge tables at least this large are sorted as a Spark job during
-    #: :meth:`build`; smaller ones are sorted locally by numpy.
-    SPARK_SORT_THRESHOLD = 50_000
-
     def __init__(self, data: GraphData, config: StorageConfig) -> None:
         self.schema = data.schema
         self.config = config
@@ -146,33 +138,26 @@ class GraphStore:
         data: GraphData,
         config: StorageConfig | None = None,
         *,
-        spark: SparkSession | None = None,
+        spark=None,
     ) -> "GraphStore":
+        """Build every structure of ``data`` under ``config`` with numpy.
+
+        ``spark`` is unused; it is accepted for callers that still pass
+        their SparkSession.
+        """
         config = config or StorageConfig.gf_cl()
         store = cls(data, config)
-        nm, c, m = config.null_mode, config.null_c, config.null_m
         for name, vl in data.schema.vertices.items():
             t = data.vtables[name]
             store.vprops[name] = {
                 p.name: VertexColumn.from_series(
                     t[p.name], p.dtype, categorical=p.categorical,
-                    null_mode=nm, c=c, m=m,
+                    null_mode=config.null_mode,
                 )
                 for p in vl.props
             }
         for name, el in data.schema.edges.items():
-            et = data.etables[name]
-            if spark is not None and len(et) >= max(1, cls.SPARK_SORT_THRESHOLD):
-                # Distributed sort of the edge table by owning vertex; the
-                # numpy assembly below then sees pre-grouped rows. Tiny
-                # tables skip the round trip — a Spark job costs more
-                # than sorting them locally.
-                et = (
-                    spark.createDataFrame(et)
-                    .orderBy("src", "dst")
-                    .toPandas()
-                )
-            store.edges[name] = store._build_edge(el, et)
+            store.edges[name] = store._build_edge(el, data.etables[name])
         return store
 
     def _build_edge(self, el: EdgeLabel, et: pd.DataFrame) -> EdgeStore:
@@ -229,8 +214,6 @@ class GraphStore:
                 values,
                 zero_suppress=cfg.zero_suppress,
                 null_mode=cfg.null_mode,
-                c=cfg.null_c,
-                m=cfg.null_m,
             )
 
         fwd = make_vcol(n_src, src, dst) if fwd_vcol else make_csr(n_src, src, dst)
@@ -252,7 +235,6 @@ class GraphStore:
     ) -> dict[str, VertexColumn]:
         """Single-cardinality edge properties as vertex columns of the keyed
         endpoint: value at offset o = the property of o's unique edge."""
-        cfg = self.config
         pos = et[key].to_numpy(dtype=np.int64)
         out = {}
         for p in el.props:
@@ -262,7 +244,7 @@ class GraphStore:
                 series = pd.to_numeric(series)
             out[p.name] = VertexColumn.from_series(
                 series, p.dtype, categorical=p.categorical,
-                null_mode=cfg.null_mode, c=cfg.null_c, m=cfg.null_m,
+                null_mode=self.config.null_mode,
             )
         return out
 
@@ -290,8 +272,3 @@ class GraphStore:
             "bwd_adj": bwd,
             "total": vertex_props + edge_props + fwd + bwd,
         }
-
-
-def with_overrides(config: StorageConfig, **kw) -> StorageConfig:
-    """Convenience for benchmarks: a modified copy of a config."""
-    return replace(config, **kw)

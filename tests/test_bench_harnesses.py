@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench.lbp_vs_volcano import khop_count_spec, khop_filter_spec, table5
 from repro.bench.memory import COMPONENTS, format_table2, table2, table2_with_factors
-from repro.bench.prop_pages import khop_read_kernel, khop_spec, table3, format_table3
+from repro.bench.prop_pages import khop_spec, table3, format_table3
 from repro.bench.single_card import CONFIGS, format_table4, reply_khop, table4
 from repro.bench.sensitivity import (
     CM_GRID,
@@ -14,6 +14,7 @@ from repro.bench.sensitivity import (
     table8,
 )
 from repro.proc.lbp import run_lbp
+from repro.proc.volcano import ColumnarAdapter, run_volcano
 from repro.storage.graph_store import GraphStore, StorageConfig
 
 
@@ -36,29 +37,22 @@ class TestTable2:
         txt = format_table2(df, "test")
         assert "Table 2" in txt
 
-    def test_spark_build_same_numbers(self, spark, ldbc):
-        assert table2(ldbc).equals(table2(ldbc, spark=spark))
-
 
 class TestTable3:
-    def test_kernel_matches_lbp_all_cells(self, ldbc, ldbc_store_uncompressed):
-        for h in (1, 2):
-            for d in ("fwd", "bwd"):
-                spec = khop_spec("knows", "Person", "date", h, direction=d)
-                assert khop_read_kernel(
-                    ldbc_store_uncompressed, "knows", "date", h, d
-                ) == run_lbp(ldbc_store_uncompressed, spec)
-
-    def test_kernel_matches_lbp_edge_columns(self, ldbc):
-        store = GraphStore.build(
-            ldbc, StorageConfig(edge_prop_storage="edge_columns")
-        )
-        for h in (1, 2):
-            for d in ("fwd", "bwd"):
-                spec = khop_spec("knows", "Person", "date", h, direction=d)
-                assert khop_read_kernel(store, "knows", "date", h, d) == (
-                    run_lbp(store, spec)
-                )
+    def test_cells_match_volcano(self, ldbc):
+        counts = table3({"LDBC": ldbc}).set_index(
+            ["plan", "hops", "config"]
+        )["count"]
+        for config, kind in (("PAGE_P", "pages"), ("COL_E", "edge_columns")):
+            store = GraphStore.build(ldbc, StorageConfig(edge_prop_storage=kind))
+            adapter = ColumnarAdapter(store)
+            for h in (1, 2):
+                for plan, d in (("P_F", "fwd"), ("P_B", "bwd")):
+                    spec = khop_spec("knows", "Person", "date", h, direction=d)
+                    want = run_volcano(adapter, spec)
+                    assert want > 0, (config, plan, h)
+                    assert run_lbp(store, spec) == want, (config, plan, h)
+                    assert counts[(plan, f"{h}H", config)] == want
 
     def test_harness_rows(self, wiki):
         df = table3({"WIKI": wiki})

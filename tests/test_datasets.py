@@ -143,5 +143,5 @@ class TestGraphDataHelpers:
         broken.etables["hasCreator"] = pd.concat(
             [t, t.iloc[[0]]], ignore_index=True
         )
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="dup src"):
             broken.validate()

@@ -140,8 +140,7 @@ class TestMemoryReport:
         assert st.edge("n1").extra_id_bytes == 8 * 2
 
 
-def test_build_via_spark(spark, monkeypatch):
-    monkeypatch.setattr(GraphStore, "SPARK_SORT_THRESHOLD", 0)
+def test_build_via_spark(spark):
     data = _mini()
     st_local = GraphStore.build(data, StorageConfig.gf_cl())
     st_spark = GraphStore.build(data, StorageConfig.gf_cl(), spark=spark)

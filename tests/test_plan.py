@@ -1,6 +1,12 @@
 """Plan compilation and SQL generation."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.graphs.datasets import ldbc_lite
 from repro.proc.plan import (
     ExtendStep,
@@ -83,7 +89,32 @@ class TestCompileLogical:
             [QueryEdge("a", "b", "knows"), QueryEdge("x", "y", "hasTag")],
             [], "count",
         )
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="disconnected"):
+            compile_logical(spec)
+
+    def test_disconnected_pattern_raises_under_python_O(self):
+        # The check must survive ``python -O``, which strips asserts.
+        code = (
+            "from repro.proc.plan import QueryEdge, QuerySpec, compile_logical\n"
+            "spec = QuerySpec('bad', {'a': 'Person', 'b': 'Person',"
+            " 'x': 'Post', 'y': 'Tag'}, [QueryEdge('a', 'b', 'knows'),"
+            " QueryEdge('x', 'y', 'hasTag')], [], 'count')\n"
+            "try:\n"
+            "    compile_logical(spec)\n"
+            "except ValueError:\n"
+            "    print('ValueError')\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out.stdout.strip() == "ValueError"
+
+    def test_predicate_outside_pattern_raises(self):
+        spec = _spec(predicates=[Predicate("z", "id", "=", 1)])
+        with pytest.raises(ValueError, match="outside the pattern"):
             compile_logical(spec)
 
 
@@ -136,7 +167,7 @@ class TestSQL:
 
     def test_like_metachar_rejected(self):
         spec = _spec(predicates=[Predicate("b", "fName", "contains", "5%")])
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="LIKE"):
             to_sql(spec, ldbc_lite(sf=0.01).schema)
 
     def test_prop_vs_prop(self):
