@@ -24,6 +24,15 @@ class Block:
     nulls: np.ndarray | None = None
     dictionary: np.ndarray | None = None
 
+    @classmethod
+    def of_column(cls, data: np.ndarray, nulls: np.ndarray, col) -> "Block":
+        """A block of values (or codes) read from a vertex column ``col``."""
+        return cls(
+            data,
+            nulls if nulls.any() else None,
+            col.dictionary if col.kind == "dict" else None,
+        )
+
     def __len__(self) -> int:
         return len(self.data)
 

@@ -11,8 +11,8 @@ compaction).
 - :class:`PhysListExtend` flattens its input group, and per input tuple
   emits a **new unflat group** whose neighbour/slot blocks are *views*
   over the CSR arrays (adjacency lists are not materialized). Edge
-  properties needed downstream are materialized here: a sequential
-  slice for forward property pages, a gather otherwise.
+  properties needed downstream are materialized here through
+  :meth:`EdgeStore.read_eprops`, which alone knows their storage layout.
 - :class:`PhysColumnExtend` appends gathered blocks to the *same* group
   (1-1 / n-1 / 1-n edges stored in vertex columns), dropping tuples with
   no edge.
@@ -86,55 +86,12 @@ class PhysVertexPropRead(Operator):
     def consume(self, chunk: IntermediateChunk) -> None:
         g = chunk.group_of(self.var)
         ids = g.blocks[self.var].data
-        vals, nulls = self.vcol.get_many(ids)
-        blk = Block(
-            vals,
-            nulls if nulls.any() else None,
-            self.vcol.dictionary if self.vcol.kind == "dict" else None,
-        )
+        blk = Block.of_column(*self.vcol.get_many(ids), self.vcol)
         chunk.add_blocks(self.var, {self.key: blk})
         try:
             self.next.consume(chunk)
         finally:
             chunk.remove_blocks([self.key])
-
-
-def _eprop_block(
-    estore: EdgeStore,
-    prop: str,
-    direction: str,
-    owner: int,
-    nbr_data: np.ndarray,
-    slot_view: np.ndarray | None,
-    start: int,
-    end: int,
-) -> Block:
-    """Materialize one edge property for the adjacency list of ``owner``."""
-    kind = estore.eprop_kind
-    if kind == "pages":
-        if direction == "fwd":
-            vals, nulls, col = estore.eprops.read_fwd_range(prop, start, end)
-        else:
-            vals, nulls, col = estore.eprops.read_at(prop, nbr_data, slot_view)
-    elif kind == "edge_columns":
-        vals, nulls, col = estore.eprops.read_at(prop, nbr_data, slot_view)
-    elif kind in ("src_vcol", "dst_vcol"):
-        input_side = "src" if direction == "fwd" else "dst"
-        keyed_side = "src" if kind == "src_vcol" else "dst"
-        keys = (
-            np.full(len(nbr_data), owner, dtype=np.int64)
-            if keyed_side == input_side
-            else nbr_data.astype(np.int64)
-        )
-        col = estore.eprops[prop]
-        vals, nulls = col.get_many(keys)
-    else:
-        raise TypeError(f"{estore.label.name} has no edge properties")
-    return Block(
-        vals,
-        nulls if nulls is not None and np.any(nulls) else None,
-        col.dictionary if col.kind == "dict" else None,
-    )
 
 
 def concat_ranges(
@@ -163,63 +120,6 @@ def concat_ranges(
     out_start = np.concatenate(([0], np.cumsum(lens)[:-1]))
     base = np.repeat(starts - out_start, lens)
     return base + np.arange(total, dtype=np.int64), None, lens
-
-
-def _eprop_block_multi(
-    estore: EdgeStore,
-    prop: str,
-    direction: str,
-    srcs: np.ndarray,
-    lens: np.ndarray,
-    idx: np.ndarray | None,
-    contig: tuple[int, int] | None,
-    csr,
-) -> Block:
-    """Edge property values for a whole block of adjacency lists.
-
-    Under forward property pages with a contiguous range this is one
-    slice (sequential); every other combination is a gather (random).
-    """
-    kind = estore.eprop_kind
-    if kind == "pages" and direction == "fwd":
-        # Forward reads follow page order: a slice when contiguous, a
-        # run-structured position read otherwise — no ID arithmetic.
-        if contig is not None:
-            vals, nulls, col = estore.eprops.read_fwd_range(prop, *contig)
-        else:
-            vals, nulls, col = estore.eprops.read_fwd_positions(prop, idx)
-    elif kind in ("pages", "edge_columns"):
-        slot_idx = (
-            csr.slots[contig[0]:contig[1]] if contig is not None
-            else csr.slots[idx]
-        )
-        if kind == "pages":
-            owners = (
-                csr.nbr[contig[0]:contig[1]] if contig is not None
-                else csr.nbr[idx]
-            )
-            vals, nulls, col = estore.eprops.read_at(prop, owners, slot_idx)
-        else:
-            vals, nulls, col = estore.eprops.read_at(prop, None, slot_idx)
-    elif kind in ("src_vcol", "dst_vcol"):
-        input_side = "src" if direction == "fwd" else "dst"
-        keyed_side = "src" if kind == "src_vcol" else "dst"
-        if keyed_side == input_side:
-            keys = np.repeat(srcs, lens).astype(np.int64)
-        else:
-            keys = (
-                csr.nbr[contig[0]:contig[1]] if contig is not None
-                else csr.nbr[idx]
-            ).astype(np.int64)
-        col = estore.eprops[prop]
-        vals, nulls = col.get_many(keys)
-    else:
-        raise TypeError(f"{estore.label.name} has no edge properties")
-    return Block(
-        vals,
-        nulls if nulls is not None and np.any(nulls) else None,
-        col.dictionary if col.kind == "dict" else None,
-    )
 
 
 class PhysExtendFilterCount(Operator):
@@ -263,15 +163,15 @@ class PhysExtendFilterCount(Operator):
         total = int(lens.sum())
         if total == 0:
             return
+        pos = idx if contig is None else contig
         mask = np.ones(total, dtype=bool)
         prop_cache: dict[str, Block] = {}
         for p in self.preds:
             prop = p.prop
             if prop not in prop_cache:
-                prop_cache[prop] = _eprop_block_multi(
-                    self.estore, prop, self.direction, srcs, lens, idx,
-                    contig, self.csr,
-                )
+                prop_cache[prop] = Block.of_column(*self.estore.read_eprops(
+                    prop, self.direction, srcs, lens, pos,
+                ))
             lblk = prop_cache[prop]
             if p.rhs_var is None:
                 mask &= eval_block_vs_literal(p.op, lblk, p.value)
@@ -337,13 +237,11 @@ class PhysListExtend(Operator):
             return
         nbr = self.csr.nbr[start:end]
         blocks = {self.out_var: Block(nbr)}
-        slot_view = (
-            self.csr.slots[start:end] if self.csr.slots is not None else None
-        )
         for prop in self.eprops:
-            blocks[f"{self.edge_var}.{prop}"] = _eprop_block(
-                self.estore, prop, self.direction, v, nbr, slot_view,
-                start, end,
+            blocks[f"{self.edge_var}.{prop}"] = Block.of_column(
+                *self.estore.read_eprops(
+                    prop, self.direction, v, end - start, (start, end), nbr,
+                )
             )
         chunk.push_group(ListGroup(blocks, end - start))
         try:
@@ -374,21 +272,12 @@ class PhysColumnExtend(Operator):
         vals, nulls = self.vcol.get_many(src_data.astype(np.int64))
         blocks = {self.out_var: Block(vals.astype(np.int64))}
         for prop in self.eprops:
-            kind = self.estore.eprop_kind
-            input_side = "src" if self.direction == "fwd" else "dst"
-            keyed_side = "src" if kind == "src_vcol" else "dst"
-            keys = (
-                src_data.astype(np.int64)
-                if keyed_side == input_side
-                else vals.astype(np.int64)
+            pv, pn, col = self.estore.read_eprops(
+                prop, self.direction, src_data, None, None, vals,
             )
-            col = self.estore.eprops[prop]
-            pv, pn = col.get_many(keys)
-            pn = pn | nulls  # no edge -> property NULL
-            blocks[f"{self.edge_var}.{prop}"] = Block(
-                pv,
-                pn if np.any(pn) else None,
-                col.dictionary if col.kind == "dict" else None,
+            # no edge -> property NULL
+            blocks[f"{self.edge_var}.{prop}"] = Block.of_column(
+                pv, pn | nulls, col
             )
         return blocks, nulls
 
@@ -496,22 +385,21 @@ class PhysBatchExtend(Operator):
                 None if nulls is None else np.repeat(nulls, lens),
                 b.dictionary,
             )
+        pos = idx if contig is None else contig
         nbr = (
             self.csr.nbr[contig[0]:contig[1]] if contig is not None
             else self.csr.nbr[idx]
         )
         merged[self.out_var] = Block(nbr)
         for prop in self.eprops:
-            merged[f"{self.edge_var}.{prop}"] = _eprop_block_multi(
-                self.estore, prop, self.direction, srcs, lens, idx, contig,
-                self.csr,
+            merged[f"{self.edge_var}.{prop}"] = Block.of_column(
+                *self.estore.read_eprops(
+                    prop, self.direction, srcs, lens, pos, nbr,
+                )
             )
         for prop, vcol in self.vprop_reads:
-            vals, nulls = vcol.get_many(nbr)
-            merged[f"{self.out_var}.{prop}"] = Block(
-                vals,
-                nulls if nulls.any() else None,
-                vcol.dictionary if vcol.kind == "dict" else None,
+            merged[f"{self.out_var}.{prop}"] = Block.of_column(
+                *vcol.get_many(nbr), vcol
             )
         # Fused predicates, evaluated once over the whole batch.
         mask = None

@@ -59,9 +59,6 @@ class QuerySpec:
                 return e
         raise KeyError(evar)
 
-    def is_edge_var(self, var: str) -> bool:
-        return var not in self.vertices and any(e.var == var for e in self.edges)
-
 
 # -- logical plan -------------------------------------------------------------
 

@@ -39,48 +39,23 @@ class ColumnarAdapter:
 
     def adj_iter(self, edge_label: str, v: int, direction: str):
         es = self.store.edge(edge_label)
-        kind = es.storage_kind(direction)
-        epk = es.eprop_kind
-        if kind == "vcol":
+        if es.storage_kind(direction) == "vcol":
             nbr = es.nbr_vcol(direction).get_one(v)
             if nbr is None:
                 return
-            if epk == "src_vcol":
-                eref = v if direction == "fwd" else int(nbr)
-            elif epk == "dst_vcol":
-                eref = int(nbr) if direction == "fwd" else v
-            else:
-                eref = None
-            yield int(nbr), eref
+            yield int(nbr), es.edge_ref(direction, v, int(nbr), None)
             return
         csr = es.csr(direction)
         start, end = csr.range_of(v)
         for i in range(start, end):
             nbr = int(csr.nbr[i])
-            if epk == "pages":
-                owner = v if direction == "fwd" else nbr
-                eref = (owner, int(csr.slots[i]))
-            elif epk == "edge_columns":
-                eref = int(csr.slots[i])
-            elif epk == "src_vcol":
-                eref = v if direction == "fwd" else nbr
-            elif epk == "dst_vcol":
-                eref = nbr if direction == "fwd" else v
-            else:
-                eref = None
-            yield nbr, eref
+            yield nbr, es.edge_ref(direction, v, nbr, i)
 
     def vprop(self, label: str, v: int, prop: str):
         return self.store.vprops[label][prop].get_one(v)
 
     def eprop(self, edge_label: str, eref, prop: str):
-        es = self.store.edge(edge_label)
-        if es.eprop_kind == "pages":
-            owner, slot = eref
-            return es.eprops.read_one(prop, owner, slot)
-        if es.eprop_kind == "edge_columns":
-            return es.eprops.read_one(prop, eref)
-        return es.eprops[prop].get_one(eref)
+        return self.store.edge(edge_label).read_eprop_one(prop, eref)
 
 
 def _operand(adapter, spec: QuerySpec, env: dict, var: str, prop: str):

@@ -68,6 +68,11 @@ class StorageConfig:
         return "jacobson" if self.null_compress else "uncompressed"
 
 
+def _at(arr: np.ndarray, pos):
+    """``arr`` at a ``(lo, hi)`` run (a view) or an index array."""
+    return arr[pos[0]:pos[1]] if isinstance(pos, tuple) else arr[pos]
+
+
 @dataclass
 class EdgeStore:
     """All structures of one edge label under one config."""
@@ -109,10 +114,81 @@ class EdgeStore:
             self.bwd_kind,
             self.bwd,
         )
-        n = s.nbytes() if kind == "csr" else s.nbytes()
+        n = s.nbytes()
         if kind == "vcol":
             n += self.extra_id_bytes
         return n
+
+    # -- edge-property reads: the only code that knows their layout ------
+
+    def _keyed_on_input(self, direction: str) -> bool:
+        """Whether a vertex-column property is keyed on the vertex the
+        adjacency list belongs to (else on the neighbour)."""
+        return (self.eprop_kind == "src_vcol") == (direction == "fwd")
+
+    def read_eprops(
+        self, prop: str, direction: str, srcs, lens, pos, nbr=None
+    ):
+        """Property ``prop`` of a block of edges, in adjacency order.
+
+        The edges are the ``direction`` adjacency lists of the input
+        vertices ``srcs``, ``lens[i]`` of them for ``srcs[i]`` (a scalar
+        vertex and length for one list). On a CSR side ``pos`` holds
+        their CSR positions, a ``(lo, hi)`` run or an index array, and
+        ``nbr`` may pass their neighbours if the caller has gathered
+        them already. On a vertex-column side ``pos`` and ``lens`` are
+        None (one edge per input vertex) and ``nbr`` is the neighbour
+        block. Returns ``(values-or-codes, nulls, column)``.
+
+        Forward property pages read a run as one slice (sequential);
+        every other layout is a gather (random).
+        """
+        kind = self.eprop_kind
+        if kind in ("src_vcol", "dst_vcol"):
+            if self._keyed_on_input(direction):
+                keys = srcs if lens is None else np.repeat(srcs, lens)
+            else:
+                keys = nbr if nbr is not None else _at(
+                    self.csr(direction).nbr, pos
+                )
+            col = self.eprops[prop]
+            vals, nulls = col.get_many(keys.astype(np.int64))
+            return vals, nulls, col
+        if kind == "pages" and direction == "fwd":
+            # Page order is forward CSR order: no ID arithmetic.
+            if isinstance(pos, tuple):
+                return self.eprops.read_fwd_range(prop, *pos)
+            return self.eprops.read_fwd_positions(prop, pos)
+        if kind not in ("pages", "edge_columns"):
+            raise TypeError(f"{self.label.name} has no edge properties")
+        csr = self.csr(direction)
+        slots = _at(csr.slots, pos)
+        if kind == "edge_columns":
+            return self.eprops.read_at(prop, None, slots)
+        owners = nbr if nbr is not None else _at(csr.nbr, pos)
+        return self.eprops.read_at(prop, owners, slots)
+
+    def edge_ref(self, direction: str, v: int, nbr: int, pos: int | None):
+        """Scalar reference of the edge from ``v`` to ``nbr`` at CSR
+        position ``pos`` (None on a vertex-column side), for
+        :meth:`read_eprop_one`; None when the label has no properties."""
+        kind = self.eprop_kind
+        if kind is None:
+            return None
+        if kind in ("src_vcol", "dst_vcol"):
+            return v if self._keyed_on_input(direction) else nbr
+        slot = int(self.csr(direction).slots[pos])
+        if kind == "edge_columns":
+            return slot
+        return (v if direction == "fwd" else nbr, slot)
+
+    def read_eprop_one(self, prop: str, ref):
+        """Scalar read of one edge's property (the Volcano path)."""
+        if self.eprop_kind == "pages":
+            return self.eprops.read_one(prop, *ref)
+        if self.eprop_kind == "edge_columns":
+            return self.eprops.read_one(prop, ref)
+        return self.eprops[prop].get_one(ref)
 
     def eprop_nbytes(self) -> int:
         if self.eprop_kind is None:

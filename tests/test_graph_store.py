@@ -5,6 +5,7 @@ import pytest
 
 from repro.graphs.data import GraphData
 from repro.graphs.schema import GraphSchema, PropSpec
+from repro.proc.chunk import Block
 from repro.storage.graph_store import GraphStore, StorageConfig
 from repro.storage.rv_model import rv_memory_report
 
@@ -93,7 +94,125 @@ class TestFig6SlotFactoring:
         assert csr.slots is None
 
 
+def _mini_with_nulls():
+    """``_mini()`` with one NULL property on every labelled edge."""
+    data = _mini()
+    for label, prop, row in (
+        ("nn", "p", 0), ("n1", "q", 0), ("one_n", "r", 1), ("one_one", "s", 0),
+    ):
+        col = data.etables[label][prop].astype(object)
+        col.iloc[row] = None
+        data.etables[label][prop] = col
+    return data
+
+
+_READ_CONFIGS = {
+    "gf_cl": StorageConfig.gf_cl(),
+    "edge_columns": StorageConfig(edge_prop_storage="edge_columns"),
+    "csr_single_card": StorageConfig(single_card_as_vcol=False),
+    # Two lists per page, so a page address depends on the list's owner.
+    "pages_k2": StorageConfig(null_compress=True, k=2),
+}
+_LABELLED = {"nn": "p", "n1": "q", "one_n": "r", "one_one": "s"}
+
+
+@pytest.fixture(scope="module", params=list(_READ_CONFIGS))
+def null_store(request):
+    data = _mini_with_nulls()
+    return data, GraphStore.build(data, _READ_CONFIGS[request.param])
+
+
+def _expected(data, label, prop):
+    """The edge table as sorted (src, dst, value-or-None) triples."""
+    t = data.etables[label]
+    return sorted(
+        (int(s), int(d), None if pd.isna(v) else int(v))
+        for s, d, v in zip(t["src"], t["dst"], t[prop])
+    )
+
+
+def _triples(direction, owners, nbrs, vals, nulls, col):
+    """(src, dst, value-or-None) triples of a block read."""
+    decoded = Block.of_column(vals, nulls, col).decoded()
+    out = []
+    for o, n, v in zip(owners, nbrs, decoded):
+        s, d = (o, n) if direction == "fwd" else (n, o)
+        out.append((int(s), int(d), None if v is None else int(v)))
+    return sorted(out)
+
+
 class TestEdgePropertyReads:
+    @pytest.mark.parametrize("direction", ["fwd", "bwd"])
+    @pytest.mark.parametrize("label", list(_LABELLED))
+    def test_batch_read_matches_edge_table(self, null_store, label, direction):
+        data, store = null_store
+        es, prop = store.edge(label), _LABELLED[label]
+        el = data.schema.edges[label]
+        n_in = store.n_vertices[el.src if direction == "fwd" else el.dst]
+        srcs = np.arange(n_in)
+        want = _expected(data, label, prop)
+        if es.storage_kind(direction) == "vcol":
+            nbr, no_edge = es.nbr_vcol(direction).get_many(srcs)
+            vals, nulls, col = es.read_eprops(
+                prop, direction, srcs, None, None, nbr
+            )
+            has = ~no_edge
+            got = _triples(
+                direction, srcs[has], nbr[has], vals[has], nulls[has], col
+            )
+            assert got == want
+            return
+        csr = es.csr(direction)
+        starts, ends = csr.ranges_of(srcs)
+        lens = ends - starts
+        idx = np.concatenate(
+            [np.arange(s, e, dtype=np.int64) for s, e in zip(starts, ends)]
+        )
+        run = (int(idx[0]), int(idx[-1]) + 1)
+        assert (idx == np.arange(*run)).all()  # a full scan is one run
+        owners, nbr = np.repeat(srcs, lens), csr.nbr[idx]
+        for pos in (run, idx):
+            for given_nbr in (None, nbr):
+                got = _triples(direction, owners, nbr, *es.read_eprops(
+                    prop, direction, srcs, lens, pos, given_nbr
+                ))
+                assert got == want
+        # One adjacency list at a time, as ListExtend reads it.
+        got = []
+        for v, s, e in zip(srcs, starts, ends):
+            if s == e:
+                continue
+            s, e = int(s), int(e)
+            block = es.read_eprops(
+                prop, direction, int(v), e - s, (s, e), csr.nbr[s:e]
+            )
+            got += _triples(direction, [v] * (e - s), csr.nbr[s:e], *block)
+        assert sorted(got) == want
+
+    @pytest.mark.parametrize("direction", ["fwd", "bwd"])
+    @pytest.mark.parametrize("label", list(_LABELLED))
+    def test_scalar_read_matches_edge_table(self, null_store, label, direction):
+        data, store = null_store
+        es, prop = store.edge(label), _LABELLED[label]
+        el = data.schema.edges[label]
+        n_in = store.n_vertices[el.src if direction == "fwd" else el.dst]
+        got = []
+        for v in range(n_in):
+            if es.storage_kind(direction) == "vcol":
+                nbr = es.nbr_vcol(direction).get_one(v)
+                edges = [] if nbr is None else [(int(nbr), None)]
+            else:
+                csr = es.csr(direction)
+                s, e = csr.range_of(v)
+                edges = [(int(csr.nbr[i]), i) for i in range(s, e)]
+            for nbr, pos in edges:
+                val = es.read_eprop_one(
+                    prop, es.edge_ref(direction, v, nbr, pos)
+                )
+                src, dst = (v, nbr) if direction == "fwd" else (nbr, v)
+                got.append((src, dst, None if val is None else int(val)))
+        assert sorted(got) == _expected(data, label, prop)
+
     def test_nn_pages_fwd(self, store):
         es = store.edge("nn")
         csr = es.csr("fwd")
