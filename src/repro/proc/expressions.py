@@ -7,17 +7,33 @@ semantics, matching the DuckDB oracle).
 On dictionary-encoded blocks, value-level predicates against a literal
 are evaluated **on the dictionary** (z values) and broadcast through the
 codes with one gather — the paper's operate-on-compressed-data path
-(§5.1). Everything else is evaluated on decoded values with NULLs
-masked out first.
+(§5.1). The dictionary-side mask is computed once per predicate per
+query: every operator that evaluates a literal predicate owns one
+:class:`DictMask` per predicate site, a single-entry memo keyed by the
+identity of the dictionary and of the literal plus the op, so each later
+block over the same dictionary costs only the gather.
+
+Raw values are evaluated with NULLs masked out first: comparisons and a
+numeric ``in`` in numpy, ``contains``/``startswith`` and an object
+``in`` in one Python pass over the non-NULL values (a non-``str`` value
+never contains or starts with anything).
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro.proc.chunk import Block
 
 OPS = ("=", "<>", "<", "<=", ">", ">=", "contains", "startswith", "in")
+
+_CMP = {
+    "=": np.equal,
+    "<>": np.not_equal,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+}
 
 
 def scalar_op(op: str, left, right) -> bool:
@@ -45,46 +61,85 @@ def scalar_op(op: str, left, right) -> bool:
     raise ValueError(f"unknown op {op!r}")
 
 
+def _eval_values(op: str, v: np.ndarray, lit) -> np.ndarray:
+    """Vectorized op of non-NULL values against a literal."""
+    if op in _CMP:
+        return _CMP[op](v, lit)
+    n = len(v)
+    if op == "contains":
+        s = str(lit)
+        return np.fromiter(
+            (isinstance(x, str) and s in x for x in v), dtype=bool, count=n
+        )
+    if op == "startswith":
+        s = str(lit)
+        return np.fromiter(
+            (isinstance(x, str) and x.startswith(s) for x in v),
+            dtype=bool, count=n,
+        )
+    if op == "in":
+        if v.dtype != object:
+            return np.isin(v, list(lit))
+        vals = frozenset(lit)
+        return np.fromiter((x in vals for x in v), dtype=bool, count=n)
+    raise ValueError(f"unknown op {op!r}")
+
+
 def _apply_masked(op: str, vals: np.ndarray, nulls: np.ndarray | None, lit):
     """Vectorized op against a literal; NULL rows are False."""
-    n = len(vals)
-    out = np.zeros(n, dtype=bool)
-    nn = np.ones(n, dtype=bool) if nulls is None else ~np.asarray(nulls)
-    if not nn.any():
-        return out
-    v = vals[nn]
-    if op == "contains":
-        res = pd.Series(v).str.contains(str(lit), regex=False).fillna(False)
-        out[nn] = res.to_numpy(dtype=bool)
-    elif op == "startswith":
-        res = pd.Series(v).str.startswith(str(lit)).fillna(False)
-        out[nn] = res.to_numpy(dtype=bool)
-    elif op == "in":
-        out[nn] = pd.Series(v).isin(list(lit)).to_numpy(dtype=bool)
-    else:
-        fn = {
-            "=": np.equal,
-            "<>": np.not_equal,
-            "<": np.less,
-            "<=": np.less_equal,
-            ">": np.greater,
-            ">=": np.greater_equal,
-        }[op]
-        out[nn] = fn(v, lit)
+    if nulls is None:
+        return _eval_values(op, vals, lit)
+    out = np.zeros(len(vals), dtype=bool)
+    nn = ~nulls
+    if nn.any():
+        out[nn] = _eval_values(op, vals[nn], lit)
     return out
 
 
-def eval_block_vs_literal(op: str, block: Block, lit) -> np.ndarray:
+def _dictionary_mask(op: str, dictionary: np.ndarray, lit) -> np.ndarray:
+    """The op over the z dictionary values, plus a False NULL slot (z)."""
+    return np.append(_eval_values(op, dictionary, lit), False)
+
+
+class DictMask:
+    """Single-entry memo of one predicate site's dictionary-side mask.
+
+    The entry is keyed by the identity of the dictionary and of the
+    literal, plus the op: a new dictionary object or a new literal
+    recomputes and replaces it. The memo holds references to both, so
+    their identities stay valid while the entry lives.
+    """
+
+    __slots__ = ("op", "dictionary", "lit", "mask")
+
+    def __init__(self) -> None:
+        self.op = self.dictionary = self.lit = self.mask = None
+
+    def get(self, op: str, dictionary: np.ndarray, lit) -> np.ndarray:
+        if (
+            dictionary is not self.dictionary
+            or lit is not self.lit
+            or op != self.op
+        ):
+            self.mask = _dictionary_mask(op, dictionary, lit)
+            self.op, self.dictionary, self.lit = op, dictionary, lit
+        return self.mask
+
+
+def eval_block_vs_literal(
+    op: str, block: Block, lit, memo: DictMask | None = None
+) -> np.ndarray:
     """Boolean mask over a block. Dictionary-coded blocks evaluate the
-    predicate once per distinct value and gather through the codes."""
-    if block.dictionary is not None:
-        dict_mask = _apply_masked(op, block.dictionary, None, lit)
-        dict_mask = np.append(dict_mask, False)  # NULL slot
-        idx = block.data.astype(np.int64)
-        if block.nulls is not None:
-            idx = np.where(block.nulls, len(block.dictionary), idx)
-        return dict_mask[idx]
-    return _apply_masked(op, block.data, block.nulls, lit)
+    predicate once per distinct value (once per ``memo`` entry when one
+    is given) and gather through the codes."""
+    if block.dictionary is None:
+        return _apply_masked(op, block.data, block.nulls, lit)
+    table = (memo or DictMask()).get(op, block.dictionary, lit)
+    codes = block.data
+    if block.nulls is not None:
+        # An intp NULL code widens narrow codes instead of overflowing.
+        codes = np.where(block.nulls, np.intp(len(block.dictionary)), codes)
+    return table[codes]
 
 
 def eval_block_vs_block(op: str, left: Block, right: Block) -> np.ndarray:
@@ -98,10 +153,8 @@ def eval_block_vs_block(op: str, left: Block, right: Block) -> np.ndarray:
         nn &= ~right.nulls
     out = np.zeros(n, dtype=bool)
     if nn.any():
-        if lv.dtype != object and rv.dtype != object and op in (
-            "=", "<>", "<", "<=", ">", ">=",
-        ):
-            out[nn] = _apply_pair(op, lv[nn], rv[nn])
+        if lv.dtype != object and rv.dtype != object and op in _CMP:
+            out[nn] = _CMP[op](lv[nn], rv[nn])
         else:
             out[nn] = np.array(
                 [scalar_op(op, a, b) for a, b in zip(lv[nn], rv[nn])],
@@ -109,14 +162,3 @@ def eval_block_vs_block(op: str, left: Block, right: Block) -> np.ndarray:
             )
     return out
 
-
-def _apply_pair(op, a, b):
-    fn = {
-        "=": np.equal,
-        "<>": np.not_equal,
-        "<": np.less,
-        "<=": np.less_equal,
-        ">": np.greater,
-        ">=": np.greater_equal,
-    }[op]
-    return fn(a, b)

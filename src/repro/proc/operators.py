@@ -31,6 +31,7 @@ import pandas as pd
 
 from repro.proc.chunk import Block, IntermediateChunk, ListGroup
 from repro.proc.expressions import (
+    DictMask,
     eval_block_vs_block,
     eval_block_vs_literal,
     scalar_op,
@@ -146,6 +147,7 @@ class PhysExtendFilterCount(Operator):
         super().__init__()
         self.src_var, self.edge_var = src_var, edge_var
         self.estore, self.direction, self.preds = estore, direction, preds
+        self.masks = [DictMask() for _ in preds]
         self.csr = estore.csr(direction)
         self.count = 0
 
@@ -166,7 +168,7 @@ class PhysExtendFilterCount(Operator):
         pos = idx if contig is None else contig
         mask = np.ones(total, dtype=bool)
         prop_cache: dict[str, Block] = {}
-        for p in self.preds:
+        for p, dmask in zip(self.preds, self.masks):
             prop = p.prop
             if prop not in prop_cache:
                 prop_cache[prop] = Block.of_column(*self.estore.read_eprops(
@@ -174,7 +176,7 @@ class PhysExtendFilterCount(Operator):
                 ))
             lblk = prop_cache[prop]
             if p.rhs_var is None:
-                mask &= eval_block_vs_literal(p.op, lblk, p.value)
+                mask &= eval_block_vs_literal(p.op, lblk, p.value, dmask)
                 continue
             rkey = f"{p.rhs_var}.{p.rhs_prop}"
             rg = chunk.group_of(rkey)
@@ -183,7 +185,7 @@ class PhysExtendFilterCount(Operator):
                 rv = rblk.scalar(rg.cur_idx)
                 if rv is None:
                     return
-                mask &= eval_block_vs_literal(p.op, lblk, rv)
+                mask &= eval_block_vs_literal(p.op, lblk, rv, dmask)
             else:
                 if rg is not g or per_src_rhs_flat:
                     raise NotImplementedError(
@@ -351,6 +353,7 @@ class PhysBatchExtend(Operator):
         self.eprops = eprops
         self.vprop_reads = vprop_reads
         self.preds = preds
+        self.masks = [DictMask() for _ in preds]
         self.csr = estore.csr(direction)
 
     def _operand(self, chunk, merged, key):
@@ -403,7 +406,7 @@ class PhysBatchExtend(Operator):
             )
         # Fused predicates, evaluated once over the whole batch.
         mask = None
-        for p in self.preds:
+        for p, dmask in zip(self.preds, self.masks):
             lblk, lsc = self._operand(chunk, merged, f"{p.var}.{p.prop}")
             if p.rhs_var is None:
                 rblk, rsc = None, p.value
@@ -414,13 +417,13 @@ class PhysBatchExtend(Operator):
             if lblk is not None and rblk is None:
                 if rsc is None:
                     return
-                m = eval_block_vs_literal(p.op, lblk, rsc)
+                m = eval_block_vs_literal(p.op, lblk, rsc, dmask)
             elif lblk is not None and rblk is not None:
                 m = eval_block_vs_block(p.op, lblk, rblk)
             elif lblk is None and rblk is not None:
                 if p.op not in _MIRROR or lsc is None:
                     return
-                m = eval_block_vs_literal(_MIRROR[p.op], rblk, lsc)
+                m = eval_block_vs_literal(_MIRROR[p.op], rblk, lsc, dmask)
             else:
                 if not scalar_op(p.op, lsc, rsc):
                     return
@@ -451,6 +454,7 @@ class PhysFilter(Operator):
     def __init__(self, pred: Predicate) -> None:
         super().__init__()
         self.pred = pred
+        self.dmask = DictMask()
         self.lkey = f"{pred.var}.{pred.prop}"
         self.rkey = (
             f"{pred.rhs_var}.{pred.rhs_prop}" if pred.rhs_var else None
@@ -483,20 +487,18 @@ class PhysFilter(Operator):
             self._emit_masked(chunk, lg, mask)
             return
         if l_flat:  # literal/flat vs list: mirror the operator
-            rv_scalar = None
-            lv = lblk.scalar(lg.cur_idx)
-            if p.op in _MIRROR:
-                mask = eval_block_vs_literal(_MIRROR[p.op], rval, lv)
-            else:  # contains/startswith/in with flat lhs is unsupported
+            if p.op not in _MIRROR:  # contains/startswith/in: unsupported
                 raise NotImplementedError(f"flat {p.op} list")
+            lv = lblk.scalar(lg.cur_idx)
             if lv is None:
-                mask = np.zeros(rg.size, dtype=bool)
+                return
+            mask = eval_block_vs_literal(_MIRROR[p.op], rval, lv, self.dmask)
             self._emit_masked(chunk, rg, mask)
             return
         rv = rval if rg is None else rval.scalar(rg.cur_idx)
         if rv is None:
             return
-        mask = eval_block_vs_literal(p.op, lblk, rv)
+        mask = eval_block_vs_literal(p.op, lblk, rv, self.dmask)
         self._emit_masked(chunk, lg, mask)
 
     def _emit_masked(self, chunk, g, mask) -> None:

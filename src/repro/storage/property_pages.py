@@ -38,7 +38,6 @@ class PropertyPages:
         self.page_starts = page_starts  # int64[n_pages + 1]
         self.columns = columns  # prop name -> page-ordered column
         self.k = k
-        self.sequential_fwd = True
 
     @classmethod
     def build(

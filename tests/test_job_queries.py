@@ -5,9 +5,16 @@ import pytest
 from repro.bench.queries_job import JOB_QUERIES
 from repro.oracle import assert_equivalent
 from repro.util import pandas_to_spark
-from repro.proc.lbp import run_lbp_df
+from repro.proc.lbp import run_lbp, run_lbp_df
 from repro.proc.plan import to_sql
-from repro.proc.volcano import ColumnarAdapter, run_volcano_df
+from repro.proc.volcano import ColumnarAdapter, run_volcano, run_volcano_df
+from repro.storage.graph_store import GraphStore, StorageConfig
+
+_CONFIGS = {
+    "gf_cl": StorageConfig.gf_cl(),
+    "edge_columns": StorageConfig(edge_prop_storage="edge_columns"),
+    "null_k2": StorageConfig(null_compress=True, k=2),
+}
 
 
 @pytest.mark.parametrize("spec", JOB_QUERIES, ids=lambda s: s.name)
@@ -26,6 +33,20 @@ def test_job_volcano_vs_oracle(spark, imdb, imdb_store, spec):
     got = run_volcano_df(ColumnarAdapter(imdb_store), spec)
     sql = to_sql(spec, imdb.schema)
     assert_equivalent(pandas_to_spark(spark, got), sql, **imdb.sql_tables())
+
+
+@pytest.mark.parametrize("config", sorted(_CONFIGS))
+def test_job_lbp_matches_volcano(imdb, config):
+    """Every JOB count under vectorized predicates (LBP) equals the
+    tuple-at-a-time ``scalar_op`` evaluation of Volcano."""
+    store = GraphStore.build(imdb, _CONFIGS[config])
+    adapter = ColumnarAdapter(store)
+    diff = {}
+    for spec in JOB_QUERIES:
+        got, want = run_lbp(store, spec), run_volcano(adapter, spec)
+        if got != want:
+            diff[spec.name] = (got, want)
+    assert diff == {}
 
 
 def test_query_set_complete():

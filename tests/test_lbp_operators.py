@@ -2,6 +2,9 @@
 import numpy as np
 import pytest
 
+from repro.bench.queries_job import JOB_QUERIES
+from repro.graphs.datasets import imdb_lite
+from repro.proc import expressions
 from repro.proc.chunk import Block, IntermediateChunk, ListGroup
 from repro.proc.lbp import compile_lbp, run_lbp
 from repro.proc.operators import (
@@ -19,6 +22,8 @@ from repro.proc.operators import (
 from repro.proc.plan import Predicate as Pr
 from repro.proc.plan import QueryEdge as E
 from repro.proc.plan import QuerySpec
+from repro.proc.volcano import ColumnarAdapter, run_volcano
+from repro.storage.graph_store import GraphStore, StorageConfig
 
 
 def _ops(store, spec):
@@ -257,3 +262,156 @@ def test_scan_block_boundaries(ldbc_store):
     scan.next = Probe()
     scan.run()
     assert sizes == [1024, 1024, 452]
+
+
+def _count_dictionary_masks(monkeypatch) -> list:
+    """Record every dictionary-side mask computation."""
+    calls = []
+    real = expressions._dictionary_mask
+
+    def counted(op, dictionary, lit):
+        calls.append((op, dictionary, lit))
+        return real(op, dictionary, lit)
+
+    monkeypatch.setattr(expressions, "_dictionary_mask", counted)
+    return calls
+
+
+class _Rows(CountSink):
+    """Sink that keeps the decoded values of ``key`` of every tuple."""
+
+    def __init__(self, key):
+        super().__init__()
+        self.key, self.rows = key, []
+
+    def consume(self, chunk):
+        g = chunk.group_of(self.key)
+        blk = g.blocks[self.key]
+        idx = [g.cur_idx] if g.is_flat else range(g.size)
+        self.rows.extend(blk.scalar(i) for i in idx)
+
+
+class TestDictMaskMemo:
+    DICT = np.array(["ab", "cd", "ef"], dtype=object)
+
+    @staticmethod
+    def _filter(pred, key):
+        f = PhysFilter(pred)
+        f.next = _Rows(key)
+        return f
+
+    @staticmethod
+    def _list_chunk(codes, dictionary, nulls=None):
+        c = IntermediateChunk()
+        c.push_group(ListGroup(
+            {"v.p": Block(np.asarray(codes, dtype=np.uint8), nulls,
+                          dictionary)},
+            len(codes),
+        ))
+        return c
+
+    def test_many_blocks_evaluate_the_dictionary_once(self, monkeypatch):
+        calls = _count_dictionary_masks(monkeypatch)
+        f = self._filter(Pr("v", "p", "<>", "cd"), "v.p")
+        rng = np.random.default_rng(3)
+        want = []
+        for _ in range(8):
+            codes = rng.integers(0, 4, 40)  # code 3 = NULL
+            nulls = codes == 3
+            f.consume(self._list_chunk(codes, self.DICT, nulls))
+            want += [self.DICT[c] for c in codes if c in (0, 2)]
+        assert len(calls) == 1
+        assert f.next.rows == want
+
+    def test_new_dictionary_object_recomputes(self, monkeypatch):
+        calls = _count_dictionary_masks(monkeypatch)
+        f = self._filter(Pr("v", "p", "=", "cd"), "v.p")
+        other = np.array(["cd", "ab"], dtype=object)  # "cd" is code 0 here
+        same_values = self.DICT.copy()
+        for d in (self.DICT, other, self.DICT, other, same_values):
+            f.consume(self._list_chunk([0, 1, 0, 1], d))
+        assert f.next.rows == ["cd"] * 10
+        assert len(calls) == 5
+
+    def test_changing_flat_rhs(self, monkeypatch):
+        calls = _count_dictionary_masks(monkeypatch)
+        # v.p = u.q, with u flat: each u row is a new literal.
+        f = self._filter(Pr("v", "p", "=", None, rhs_var="u", rhs_prop="q"),
+                         "v.p")
+        u_codes = [0, 2, 2, 1, 3, 0]  # code 3 = NULL
+        c = IntermediateChunk()
+        c.push_group(ListGroup(
+            {"u.q": Block(np.array(u_codes, dtype=np.uint8),
+                          np.array(u_codes) == 3, self.DICT)},
+            len(u_codes),
+        ))
+        c.push_group(ListGroup(
+            {"v.p": Block(np.array([2, 1, 0, 2, 2], dtype=np.uint8), None,
+                          self.DICT)},
+            5,
+        ))
+        per_row = []
+        for i in range(len(u_codes)):
+            c.groups[0].cur_idx = i
+            before = len(f.next.rows)
+            f.consume(c)
+            per_row.append(f.next.rows[before:])
+        assert per_row == [
+            ["ab"], ["ef"] * 3, ["ef"] * 3, ["cd"], [], ["ab"],
+        ]
+        # The entry is replaced whenever the literal changes (NULL rows
+        # never evaluate).
+        assert [lit for _, _, lit in calls] == ["ab", "ef", "cd", "ab"]
+
+    def test_mirrored_flat_lhs(self, monkeypatch):
+        _count_dictionary_masks(monkeypatch)
+        # u.q < v.p with u flat evaluates v.p > u.q on v's dictionary.
+        f = self._filter(Pr("u", "q", "<", None, rhs_var="v", rhs_prop="p"),
+                         "v.p")
+        c = IntermediateChunk()
+        c.push_group(ListGroup(
+            {"u.q": Block(np.array(["ab", "cd"], dtype=object))}, 2))
+        c.push_group(ListGroup(
+            {"v.p": Block(np.array([0, 1, 2], dtype=np.uint8), None,
+                          self.DICT)},
+            3,
+        ))
+        got = []
+        for i in range(2):
+            c.groups[0].cur_idx = i
+            before = len(f.next.rows)
+            f.consume(c)
+            got.append(f.next.rows[before:])
+        assert got == [["cd", "ef"], ["ef"]]
+
+    def test_one_mask_per_predicate_site_per_query(
+        self, monkeypatch, imdb_store
+    ):
+        # Small blocks: many blocks reach every predicate site.
+        calls = _count_dictionary_masks(monkeypatch)
+        for spec in JOB_QUERIES:
+            want = run_lbp(imdb_store, spec)
+            calls.clear()
+            assert run_lbp(imdb_store, spec, block_size=16) == want, spec.name
+            assert len(calls) <= len(spec.predicates), spec.name
+
+    def test_two_compiles_on_stores_with_different_dictionaries(
+        self, imdb_store
+    ):
+        other = GraphStore.build(
+            imdb_lite(sf=0.02, seed=11), StorageConfig.gf_cl()
+        )
+        assert (
+            other.vprop_column("keyword", "keyword").dictionary
+            is not imdb_store.vprop_column("keyword", "keyword").dictionary
+        )
+        for spec in JOB_QUERIES:
+            # Both pipelines are compiled before either runs.
+            pipes = [
+                (store, *compile_lbp(store, spec, block_size=64))
+                for store in (imdb_store, other, imdb_store)
+            ]
+            for store, scan, sink in pipes:
+                scan.run()
+                want = run_volcano(ColumnarAdapter(store), spec)
+                assert sink.count == want, spec.name

@@ -8,7 +8,11 @@ checks that the program comes back unchanged.
 """
 import importlib
 
+import pytest
+
 from perfbench.tracing import Tracer, install_repro
+from repro.bench.queries_job import JOB_QUERIES
+from repro.proc.lbp import run_lbp
 
 _MODULES = [
     "repro.proc.chunk",
@@ -64,3 +68,29 @@ def test_install_then_uninstall_restores_every_attribute():
     assert after.keys() == before.keys()
     changed = [k for k in before if after[k] is not before[k]]
     assert changed == []
+
+
+@pytest.mark.parametrize("name,kind", [("2a", "dict"), ("6a", "str")])
+def test_literal_predicates_call_the_traced_global(
+    monkeypatch, imdb_store, name, kind
+):
+    """The tracer's ``expr.literal`` span wraps the
+    ``operators.eval_block_vs_literal`` global. Dictionary and raw-string
+    predicates must both go through it, or ``proc.expr.literal_s`` stops
+    measuring predicate work."""
+    from repro.proc import operators
+
+    seen = []
+    real = operators.eval_block_vs_literal
+
+    def counted(op, block, lit, *args):
+        if block.dictionary is not None:
+            seen.append("dict")
+        else:
+            seen.append("str" if block.data.dtype == object else "num")
+        return real(op, block, lit, *args)
+
+    monkeypatch.setattr(operators, "eval_block_vs_literal", counted)
+    spec = next(q for q in JOB_QUERIES if q.name == name)
+    run_lbp(imdb_store, spec)
+    assert kind in seen

@@ -104,10 +104,3 @@ class TestEdgeColumns:
         _, ids = EdgeColumns.build(EDGE, et)
         assert sorted(ids) == list(range(200))
         assert list(ids[:20]) != list(range(20))  # not identity order
-
-    def test_no_sequential_direction(self):
-        rng = np.random.default_rng(7)
-        cols, _ = EdgeColumns.build(EDGE, _etable(rng))
-        assert cols.sequential_fwd is False
-        with pytest.raises(TypeError):
-            cols.read_fwd_range("w", 0, 5)
